@@ -60,7 +60,28 @@ struct ActivityStats {
   long long sched_cache_hits = 0;
   long long sched_cache_misses = 0;
   long long sched_cache_evictions = 0;
+
+  // Sums every bucket and counter: a shard hosting one engine per model
+  // reports their total. The static_assert below trips when a field is
+  // added without being merged here.
+  void merge(const ActivityStats& o) {
+    dfg_construction.add(o.dfg_construction.ns);
+    scheduling.add(o.scheduling.ns);
+    gather_copy.add(o.gather_copy.ns);
+    kernel_exec.add(o.kernel_exec.ns);
+    launch_overhead.add(o.launch_overhead.ns);
+    kernel_launches += o.kernel_launches;
+    gather_bytes += o.gather_bytes;
+    flat_batches += o.flat_batches;
+    stacked_batches += o.stacked_batches;
+    scheduling_allocs += o.scheduling_allocs;
+    sched_cache_hits += o.sched_cache_hits;
+    sched_cache_misses += o.sched_cache_misses;
+    sched_cache_evictions += o.sched_cache_evictions;
+  }
 };
+static_assert(sizeof(ActivityStats) == 5 * sizeof(TimeBucket) + 8 * sizeof(long long),
+              "a new ActivityStats field must be summed in ActivityStats::merge");
 
 struct EngineStats : ActivityStats {
   std::vector<long long> kernel_invocations;  // per kernel id (PGO profile)
@@ -250,7 +271,27 @@ class Engine {
     std::size_t session_buffers_live = 0;
     std::size_t session_buffers_peak = 0;
     std::size_t session_bytes_allocated = 0;  // monotone; plateaus via pool reuse
+
+    // Sums every gauge (peaks too: engines of one shard hold memory at the
+    // same time). The static_assert below trips when a field is added
+    // without being merged here.
+    void merge(const MemoryStats& o) {
+      node_table_size += o.node_table_size;
+      live_nodes += o.live_nodes;
+      live_nodes_peak += o.live_nodes_peak;
+      nodes_recycled += o.nodes_recycled;
+      arena_active_bytes += o.arena_active_bytes;
+      arena_high_water_bytes += o.arena_high_water_bytes;
+      arena_pages_recycled += o.arena_pages_recycled;
+      leaked_slots += o.leaked_slots;
+      persist_arena_high_water_bytes += o.persist_arena_high_water_bytes;
+      session_buffers_live += o.session_buffers_live;
+      session_buffers_peak += o.session_buffers_peak;
+      session_bytes_allocated += o.session_bytes_allocated;
+    }
   };
+  static_assert(sizeof(MemoryStats) == 9 * sizeof(std::size_t) + 3 * sizeof(long long),
+                "a new MemoryStats field must be summed in MemoryStats::merge");
   MemoryStats memory() const;
 
  private:

@@ -5,7 +5,6 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
-#include <sched.h>
 #include <signal.h>
 #include <sys/socket.h>
 #include <sys/un.h>
@@ -18,15 +17,11 @@
 #include <cstdio>
 #include <cstring>
 #include <set>
-#include <span>
 #include <thread>
-#include <unordered_map>
 
-#include "exec/aot.h"
 #include "fault/fault.h"
 #include "net/frame.h"
-#include "net_shard_core.h"
-#include "runtime/fiber.h"
+#include "net_slot.h"
 #include "serve/load.h"
 #include "serve/spsc.h"
 #include "support/timer.h"
@@ -36,19 +31,8 @@ namespace {
 
 using serve::SpscQueue;
 
-// Same rationale as serve.cpp: waits are for other threads' progress.
-void relax() { sched_yield(); }
-
-// Misconfiguration aborts (serve.cpp idiom): fprintf + abort rather than an
-// exception, so the fork-based death tests observe the same behavior in
-// Release and Debug. Used for knobs whose silent misuse would *look* like a
-// fault-tolerance bug (a liveness timeout below the ping interval reads as
-// workers "dying" while healthy) — plain bad-but-safe options still fail
-// start() with an error string.
-[[noreturn]] void config_die(const char* what) {
-  std::fprintf(stderr, "acrobat net: invalid configuration: %s\n", what);
-  std::abort();
-}
+using serve::detail::config_die;
+using serve::detail::relax;
 
 // Acceptor → dispatcher. Everything the dispatcher needs to fill a slot.
 struct AdmissionMsg {
@@ -75,232 +59,6 @@ bool set_nonblocking(int fd) {
 }
 
 }  // namespace
-
-// ------------------------------------------------------- shared shard core
-
-namespace detail {
-
-void run_shard_core(const CoreConfig& cfg, CoreIo& io, serve::ShardReport& report) {
-  const harness::Prepared& p = *cfg.prep;
-  // Exclusive ownership, exactly as serve.cpp: this engine, its arena, and
-  // the fiber pool live and die on the calling thread (or process).
-  EngineConfig ec = harness::engine_config_for(p.cfg, cfg.launch_overhead_ns,
-                                               /*time_activities=*/false);
-  ec.recycle = cfg.recycle;
-  ec.sched_memo = cfg.sched_memo;
-  Engine eng(p.compiled.module.registry, ec);
-
-  std::vector<TRef> wrefs, drefs;
-  wrefs.reserve(p.weights.tensors.size());
-  for (const Tensor& t : p.weights.tensors) wrefs.push_back(eng.add_concrete(t.view()));
-  drefs.reserve(cfg.ds->tensors.size());
-  for (const Tensor& t : cfg.ds->tensors) drefs.push_back(eng.add_concrete(t.view()));
-  aot::AotExecutor exec(p.compiled.program, eng, wrefs);
-
-  FiberScheduler fs;
-  eng.set_fiber_scheduler(&fs);
-  fs.set_reap_hook([&eng](int sid) { eng.retire_request(sid); });
-  trace::Tracer* const tr = cfg.tracer;
-  eng.set_tracer(tr);
-  fs.set_tracer(tr);
-  const std::unique_ptr<serve::BatchPolicy> policy = serve::make_policy(cfg.policy);
-
-  // Sessions get fresh ids (fiber tag == engine instance id) decoupled from
-  // slot ids: a slot can be recycled to a new request the moment its done
-  // message finishes the round trip, which may be before this thread has
-  // reaped the finished fiber — reusing the slot id as the tag would alias
-  // two fibers. The map is bounded by live sessions (erased on prune);
-  // references into it are stable (node-based) across inserts.
-  struct Sess {
-    int slot = -1;
-    std::int64_t arrival_ns = 0;
-    std::int64_t completion_ns = -1;
-    std::int64_t first_token_ns = -1;
-    std::int64_t last_token_ns = -1;
-    std::uint32_t tokens = 0;
-    bool cancelled = false;
-    bool awaiting = false;
-  };
-  std::unordered_map<int, Sess> sess;
-  int next_sid = 1;
-
-  std::deque<int> arrivals;    // slot ids, arrival order
-  std::deque<int> in_flight;   // session ids, admission order
-  std::deque<int> step_queue;  // parked sessions wanting their next token
-  std::size_t live_decode = 0;
-  // Decode chunking (policy.h AdmitDecision::max_step_admit): reset once per
-  // trigger window, in the admission hook — resetting per admit() call would
-  // let the main loop drain every parked step between triggers and turn
-  // chunked admission into a no-op.
-  std::size_t step_budget = static_cast<std::size_t>(-1);
-
-  const auto now = [&] { return now_ns() - cfg.epoch_ns; };
-  const auto prune = [&] {
-    while (!in_flight.empty()) {
-      const auto it = sess.find(in_flight.front());
-      assert(it != sess.end());
-      if (it->second.completion_ns < 0) break;
-      if (it->second.tokens > 0) --live_decode;
-      sess.erase(it);
-      in_flight.pop_front();
-    }
-  };
-  const auto make_ctx = [&] {
-    serve::PolicyCtx c;
-    c.now_ns = now();
-    c.queued = arrivals.size();
-    c.live = in_flight.size();
-    c.live_decode = live_decode;
-    c.queued_steps = step_queue.size();
-    if (!arrivals.empty()) c.oldest_queued_arrival_ns = io.slot(arrivals.front()).arrival_ns;
-    if (!in_flight.empty()) c.oldest_live_arrival_ns = sess[in_flight.front()].arrival_ns;
-    c.inbox_open = io.input_open();
-    return c;
-  };
-
-  const auto admit = [&](std::size_t max_admit) {
-    while (!step_queue.empty() && step_budget > 0) {
-      if (step_budget != static_cast<std::size_t>(-1)) --step_budget;
-      const int sid = step_queue.front();
-      step_queue.pop_front();
-      Sess& s = sess[sid];
-      // A cancel that landed while the session was parked: mark it now so
-      // the step hook's post-unpark consult stops it (it still exits through
-      // the model tail — the emitted prefix stays a valid output).
-      if (!s.cancelled && slot_cancelled(io.slot(s.slot))) {
-        s.cancelled = true;
-        ++report.cancelled;
-      }
-      const bool ok = fs.unpark(sid);
-      assert(ok && "queued step must correspond to a parked fiber");
-      (void)ok;
-      ACROBAT_TRACE(tr, tr->instant(trace::EventKind::kAdmit, sid, 0,
-                                    static_cast<std::int64_t>(s.tokens)));
-    }
-    while (max_admit > 0 && !arrivals.empty()) {
-      --max_admit;
-      const int slot_id = arrivals.front();
-      arrivals.pop_front();
-      Slot& sl = io.slot(slot_id);
-      const int sid = next_sid++;
-      Sess& s = sess[sid];
-      s.slot = slot_id;
-      s.arrival_ns = sl.arrival_ns;
-      sl.admit_ns = now();
-      ACROBAT_TRACE(tr, tr->instant(trace::EventKind::kAdmit, sid, 0,
-                                    sl.admit_ns - sl.arrival_ns));
-      in_flight.push_back(sid);
-      eng.begin_request(sid);
-      fs.spawn([&, sid, slot_id] {
-        Sess& r = sess[sid];
-        Slot& out_slot = io.slot(slot_id);
-        InstCtx ctx;
-        ctx.instance = sid;
-        const Value in =
-            models::remap_trefs(cfg.ds->inputs[out_slot.input_index], drefs);
-        const Value out = exec.run(std::span<const Value>(&in, 1), ctx);
-        std::vector<TRef> outs;
-        harness::collect_output_trefs(out, outs);
-        std::vector<float> flat;
-        for (const TRef ref : outs) {
-          const Tensor t = eng.force(ref);
-          flat.insert(flat.end(), t.data, t.data + t.numel());
-        }
-        r.completion_ns = now();
-        out_slot.output = std::move(flat);
-        out_slot.tokens = r.tokens;
-        out_slot.cancelled = r.cancelled;
-        out_slot.first_token_ns = r.first_token_ns;
-        out_slot.last_token_ns = r.last_token_ns;
-        out_slot.completion_ns = r.completion_ns;
-        ++report.requests;
-        io.emit_done(slot_id);
-      }, /*tag=*/sid);
-    }
-    report.max_live = std::max(report.max_live, in_flight.size());
-  };
-
-  eng.set_admission_hook([&] {
-    io.poll_input(arrivals);
-    const serve::AdmitDecision d = policy->decide(make_ctx());
-    step_budget = d.max_step_admit;  // new trigger window
-    // Degraded mode (ISSUE 10): overload upstream — tighten decode_admit so
-    // this window favors prefill of already-admitted requests over token
-    // streaming. Floor 1 keeps the anti-stall guarantee below intact.
-    if (io.degraded && io.degraded()) {
-      constexpr std::size_t npos = static_cast<std::size_t>(-1);
-      step_budget = step_budget == npos ? 1 : std::max<std::size_t>(1, step_budget / 2);
-    }
-    admit(d.max_admit);
-    fs.step_ready();
-  });
-
-  eng.set_step_hook([&](int sid) -> Engine::StepVerdict {
-    Sess& r = sess[sid];
-    if (r.awaiting) {
-      r.awaiting = false;
-      return r.cancelled ? Engine::StepVerdict::kStop : Engine::StepVerdict::kRun;
-    }
-    Slot& sl = io.slot(r.slot);
-    const std::int64_t t = now();
-    if (!r.cancelled && slot_cancelled(sl)) {
-      r.cancelled = true;
-      ++report.cancelled;
-    }
-    ++r.tokens;
-    ++report.tokens;
-    if (r.first_token_ns < 0) {
-      r.first_token_ns = t;
-      ++live_decode;
-      report.ttft_ms.add(static_cast<double>(t - r.arrival_ns) * 1e-6);
-    } else {
-      report.inter_token_ms.add(static_cast<double>(t - r.last_token_ns) * 1e-6);
-    }
-    r.last_token_ns = t;
-    if (sl.stream && !r.cancelled) io.emit_token(r.slot, r.tokens);
-    if (r.cancelled) return Engine::StepVerdict::kStop;
-    r.awaiting = true;
-    step_queue.push_back(sid);
-    return Engine::StepVerdict::kPark;
-  });
-
-  for (;;) {
-    io.poll_input(arrivals);
-    fs.reap_done();
-    prune();
-    if (in_flight.empty() && arrivals.empty()) {
-      if (!io.input_open()) break;
-      io.idle_wait();
-      continue;
-    }
-    const serve::AdmitDecision d = policy->decide(make_ctx());
-    admit(d.max_admit);
-    if (fs.step_ready() > 0) continue;
-    if (fs.any_blocked()) {
-      if (d.hold_until_ns > now() && io.input_open()) {
-        io.idle_wait();  // batch-forming pause; re-decide next iteration
-        continue;
-      }
-      eng.trigger_execution();
-      fs.wake_blocked();
-    } else if (!step_queue.empty()) {
-      // Every live session is parked and the window's step budget is spent:
-      // no trigger is coming to reset it, so open a minimal window by hand.
-      // Guarantees progress for any decode_admit >= 1.
-      step_budget = std::max<std::size_t>(step_budget, 1);
-    }
-  }
-
-  eng.set_step_hook(nullptr);
-  eng.set_admission_hook(nullptr);
-  eng.set_fiber_scheduler(nullptr);
-  report.triggers = fs.idle_triggers();
-  report.stacks_allocated = fs.stacks_allocated();
-  report.stats = eng.stats();
-  report.mem = eng.memory();
-}
-
-}  // namespace detail
 
 // ------------------------------------------------------------- NetServer
 
@@ -336,8 +94,10 @@ struct NetServer::Impl {
     std::atomic<bool> alive{true};
     serve::ShardReport report;
     std::unique_ptr<trace::Tracer> tracer;
-    pid_t pid = -1;  // multiproc
-    int fd = -1;     // multiproc: router end of the socketpair
+    // multiproc: the worker's pid. Written by this shard's proxy thread (at
+    // spawn, death and reap), read by worker_pids() on any thread.
+    std::atomic<pid_t> pid{-1};
+    int fd = -1;  // multiproc: router end of the socketpair
   };
   std::vector<std::unique_ptr<ShardCh>> shards;
   std::unique_ptr<SpscQueue<AdmissionMsg>> admission;
@@ -471,31 +231,31 @@ bool NetServer::Impl::spawn_worker(ShardCh& ch) {
     ::_exit(127);
   }
   ::close(sv[1]);
-  ch.pid = pid;
+  ch.pid.store(pid);
   ch.fd = sv[0];
   return true;
 }
 
 void NetServer::Impl::shard_main_inproc(ShardCh& ch) {
-  detail::CoreConfig cc;
-  cc.prep = prep;
-  cc.ds = ds;
-  cc.policy = opts.policy;
+  const std::unique_ptr<serve::BatchPolicy> policy = serve::make_policy(opts.policy);
+  serve::detail::CoreConfig cc = serve::detail::single_model_core(*prep, *ds);
   cc.launch_overhead_ns = opts.launch_overhead_ns;
   cc.recycle = opts.recycle;
   cc.sched_memo = opts.sched_memo;
   cc.shard_index = ch.index;
   cc.epoch_ns = epoch;
+  cc.policy = policy.get();
   cc.tracer = ch.tracer.get();
 
-  detail::CoreIo io;
-  io.slot = [this](int i) -> detail::Slot& { return slots[static_cast<std::size_t>(i)]; };
+  serve::detail::CoreIo io =
+      detail::slot_io([this](int i) -> detail::Slot& { return slots[static_cast<std::size_t>(i)]; });
   io.poll_input = [&ch](std::deque<int>& q) {
     int id;
     while (ch.inbox.pop(id)) q.push_back(id);
   };
   io.input_open = [&ch] { return !(ch.inbox.closed() && ch.inbox.empty_hint()); };
-  io.emit_token = [&ch](int slot_id, std::uint32_t ord) {
+  io.emit_token = [this, &ch](int slot_id, std::uint32_t ord) {
+    if (!slots[static_cast<std::size_t>(slot_id)].stream) return;
     const CompMsg m{CompMsg::kToken, slot_id, ord};
     while (!ch.out.push(m)) relax();
   };
@@ -504,10 +264,10 @@ void NetServer::Impl::shard_main_inproc(ShardCh& ch) {
     const CompMsg m{CompMsg::kDone, slot_id, 0};
     while (!ch.out.push(m)) relax();
   };
-  io.idle_wait = [] { relax(); };
+  io.idle_wait = relax;
   io.degraded = [this] { return degraded.load(std::memory_order_relaxed); };
 
-  detail::run_shard_core(cc, io, ch.report);
+  serve::detail::run_shard_core(cc, io, ch.report);
   shards_done.fetch_add(1, std::memory_order_release);
 }
 
@@ -569,11 +329,11 @@ void NetServer::Impl::proxy_main(ShardCh& ch) {
     }
     // Reap immediately (SIGKILL is belt-and-braces for the wedged case —
     // EOF deaths are already zombies) so a respawn never stacks zombies.
-    if (ch.pid > 0) {
-      ::kill(ch.pid, SIGKILL);
+    if (const pid_t pid = ch.pid.load(); pid > 0) {
+      ::kill(pid, SIGKILL);
       int status = 0;
-      ::waitpid(ch.pid, &status, 0);
-      ch.pid = -1;
+      ::waitpid(pid, &status, 0);
+      ch.pid.store(-1);
     }
     if (unexpected) schedule_respawn();
   };
@@ -606,9 +366,9 @@ void NetServer::Impl::proxy_main(ShardCh& ch) {
         if (!parse_done(f, df)) break;
         const int si = static_cast<int>(df.id);
         detail::Slot& s = slots[static_cast<std::size_t>(si)];
-        s.output.assign(df.data, df.data + df.n_floats);
-        s.tokens = df.tokens;
-        s.cancelled = df.cancelled;
+        s.rec.output.assign(df.data, df.data + df.n_floats);
+        s.rec.tokens = static_cast<int>(df.tokens);
+        s.rec.cancelled = df.cancelled;
         inflight.erase(si);
         cancel_sent.erase(si);
         ch.outstanding.fetch_sub(1, std::memory_order_relaxed);
@@ -668,9 +428,9 @@ void NetServer::Impl::proxy_main(ShardCh& ch) {
       wire.clear();
       std::vector<std::uint8_t> p;
       wire::put_u32(p, static_cast<std::uint32_t>(si));
-      wire::put_u32(p, s.input_index);
+      wire::put_u32(p, static_cast<std::uint32_t>(s.req.input_index));
       wire::put_u16(p, 0);
-      p.push_back(s.latency_class);
+      p.push_back(static_cast<std::uint8_t>(s.req.latency_class));
       p.push_back(0);
       encode_frame(wire, FrameType::kWorkerReq, p.data(), p.size(),
                    s.stream ? kFlagStream : 0);
@@ -679,8 +439,8 @@ void NetServer::Impl::proxy_main(ShardCh& ch) {
         // kill_worker fault: SIGKILL our own worker right after forwarding
         // the planned request — the EOF path then runs the exact production
         // death/respawn machinery, nothing test-only.
-        ACROBAT_FAULT(if (inject.fire_kill(ch.index) && ch.pid > 0)
-                          ::kill(ch.pid, SIGKILL));
+        ACROBAT_FAULT(if (inject.fire_kill(ch.index) && ch.pid.load() > 0)
+                          ::kill(ch.pid.load(), SIGKILL));
       } else {
         ch.outstanding.fetch_sub(1, std::memory_order_relaxed);
         push_out(CompMsg{CompMsg::kError, si,
@@ -776,20 +536,20 @@ void NetServer::Impl::proxy_main(ShardCh& ch) {
         ch.fd = -1;
       }
       // Reap the child: grace for a clean exit, then force.
-      if (ch.pid > 0) {
+      if (const pid_t pid = ch.pid.load(); pid > 0) {
         int status = 0;
         const std::int64_t deadline = now_ns() + 2'000'000'000;
         for (;;) {
-          const pid_t r = ::waitpid(ch.pid, &status, WNOHANG);
-          if (r == ch.pid || r < 0) break;
+          const pid_t r = ::waitpid(pid, &status, WNOHANG);
+          if (r == pid || r < 0) break;
           if (now_ns() > deadline) {
-            ::kill(ch.pid, SIGKILL);
-            ::waitpid(ch.pid, &status, 0);
+            ::kill(pid, SIGKILL);
+            ::waitpid(pid, &status, 0);
             break;
           }
           relax();
         }
-        ch.pid = -1;
+        ch.pid.store(-1);
       }
       break;
     }
@@ -807,11 +567,7 @@ void NetServer::Impl::dispatcher_loop() {
     int sid;
     while (free_ring->pop(sid)) {
       progressed = true;
-      detail::Slot& s = slots[static_cast<std::size_t>(sid)];
-      s.owner.store(0, std::memory_order_relaxed);
-      s.output.clear();
-      s.tokens = 0;
-      s.cancelled = false;
+      slots[static_cast<std::size_t>(sid)].owner.store(0, std::memory_order_relaxed);
       free_list.push_back(sid);
     }
     // Backpressure cascade: no free slot → don't pop admission → the
@@ -826,11 +582,8 @@ void NetServer::Impl::dispatcher_loop() {
       s.conn = m.conn;
       s.conn_gen = m.conn_gen;
       s.req_id = m.req_id;
-      s.input_index = m.input_index;
-      s.latency_class = m.latency_class;
       s.stream = m.stream;
-      s.arrival_ns = m.arrival_ns;
-      s.admit_ns = s.completion_ns = s.first_token_ns = s.last_token_ns = -1;
+      s.assign(si, m.input_index, m.latency_class, m.arrival_ns);
       s.owner.store(detail::pack_owner(m.conn, m.conn_gen), std::memory_order_release);
       const std::size_t used = n_slots - free_list.size();
       if (used > slots_peak.load(std::memory_order_relaxed))
@@ -967,10 +720,11 @@ void NetServer::Impl::event_loop() {
         return;  // non-terminal: slot stays busy
       case CompMsg::kDone:
         ++stats.completed;
-        if (s.cancelled) ++stats.cancelled;
+        if (s.rec.cancelled) ++stats.cancelled;
         if (ok) {
-          encode_done(scratch, FrameType::kDone, s.req_id, s.tokens, s.cancelled,
-                      s.output.data(), s.output.size());
+          encode_done(scratch, FrameType::kDone, s.req_id,
+                      static_cast<std::uint32_t>(s.rec.tokens), s.rec.cancelled,
+                      s.rec.output.data(), s.rec.output.size());
           send_to(ci, scratch);
         }
         break;
@@ -1037,7 +791,8 @@ void NetServer::Impl::event_loop() {
       send_to(ci, scratch);
       return;
     }
-    if (rf.model_id != 0 || rf.input_index >= n_inputs) {
+    if (rf.model_id != 0 || rf.input_index >= n_inputs ||
+        rf.latency_class >= serve::kNumLatencyClasses) {
       ++stats.errors;
       encode_id_pair(scratch, FrameType::kError, rf.id,
                      static_cast<std::uint32_t>(ErrorCode::kBadRequest));
@@ -1257,7 +1012,7 @@ const std::string& NetServer::uds_path() const { return impl_->uds_path; }
 std::vector<pid_t> NetServer::worker_pids() const {
   std::vector<pid_t> pids;
   for (const auto& ch : impl_->shards)
-    if (ch->pid > 0) pids.push_back(ch->pid);
+    if (const pid_t pid = ch->pid.load(); pid > 0) pids.push_back(pid);
   return pids;
 }
 
@@ -1273,14 +1028,17 @@ bool NetServer::start() {
     return im.fail("in-proc shards need a prepared model and dataset");
   // Liveness / supervision knobs are programmer configuration, not runtime
   // inputs: a nonsensical schedule aborts loudly (config_die) rather than
-  // degrading into a server that flaps workers or never declares death.
-  if (o.ping_interval_ns <= 0) config_die("ping_interval_ns must be > 0");
+  // degrading into a server that flaps workers or never declares death —
+  // its silent misuse would *look* like a fault-tolerance bug (a liveness
+  // timeout below the ping interval reads as healthy workers "dying").
+  // Plain bad-but-safe options above fail start() with an error string.
+  if (o.ping_interval_ns <= 0) config_die("NetOptions.ping_interval_ns must be > 0");
   if (o.liveness_timeout_ns <= o.ping_interval_ns)
-    config_die("liveness_timeout_ns must exceed ping_interval_ns");
-  if (o.respawn_budget < 0) config_die("respawn_budget must be >= 0");
-  if (o.respawn_backoff_ns <= 0) config_die("respawn_backoff_ns must be > 0");
+    config_die("NetOptions.liveness_timeout_ns must exceed ping_interval_ns");
+  if (o.respawn_budget < 0) config_die("NetOptions.respawn_budget must be >= 0");
+  if (o.respawn_backoff_ns <= 0) config_die("NetOptions.respawn_backoff_ns must be > 0");
   if (o.respawn_backoff_cap_ns < o.respawn_backoff_ns)
-    config_die("respawn_backoff_cap_ns must be >= respawn_backoff_ns");
+    config_die("NetOptions.respawn_backoff_cap_ns must be >= respawn_backoff_ns");
   // Degradation watermarks: 0 = derive from capacity; explicit values must
   // form a proper hysteresis band inside the queue bound.
   im.degrade_high = o.degrade_high_watermark != 0
@@ -1290,9 +1048,9 @@ bool NetServer::start() {
   im.degrade_low = o.degrade_low_watermark != 0 ? o.degrade_low_watermark
                                                 : o.admission_capacity / 4;
   if (im.degrade_high > o.admission_capacity)
-    config_die("degrade_high_watermark must be <= admission_capacity");
+    config_die("NetOptions.degrade_high_watermark must be <= admission_capacity");
   if (im.degrade_low >= im.degrade_high)
-    config_die("degrade_low_watermark must be < degrade_high_watermark");
+    config_die("NetOptions.degrade_low_watermark must be < degrade_high_watermark");
   // Fault plan: explicit option wins, else the environment; a spec that
   // does not parse is a hard start() failure, never a silently-inert run.
   {

@@ -2,8 +2,8 @@
 // worker = one shard = one engine, shared-nothing: the process rebuilds the
 // prepared model and dataset from the recipe on its command line (both are
 // deterministic functions of the recipe, which is what makes wire parity
-// hold across the process boundary), then runs the same run_shard_core loop
-// as an in-process shard thread, with the router socketpair as its IO.
+// hold across the process boundary), then runs the serve layer's one shard
+// loop (src/shard_core.h) with the router socketpair as its IO.
 #include <errno.h>
 #include <poll.h>
 #include <signal.h>
@@ -21,7 +21,7 @@
 #include "models/models.h"
 #include "net/frame.h"
 #include "net/net.h"
-#include "net_shard_core.h"
+#include "net_slot.h"
 #include "support/timer.h"
 
 namespace acrobat::net {
@@ -127,24 +127,20 @@ int shard_worker_main(int argc, char** argv) {
   FrameReader rd;
   std::vector<std::uint8_t> wire;
   int requests_served = 0;
-  long long tokens_served = 0;
   const std::int64_t epoch = now_ns();
   const int fd = a.fd;
 
-  detail::CoreConfig cc;
-  cc.prep = &prep;
-  cc.ds = &ds;
-  cc.policy = a.policy;
+  const std::unique_ptr<serve::BatchPolicy> policy = serve::make_policy(a.policy);
+  serve::detail::CoreConfig cc = serve::detail::single_model_core(prep, ds);
   cc.launch_overhead_ns = a.launch_ns;
   cc.recycle = a.recycle;
   cc.sched_memo = a.sched_memo;
   cc.shard_index = a.shard;
   cc.epoch_ns = epoch;
+  cc.policy = policy.get();
 
-  detail::CoreIo io;
-  io.slot = [&slots](int i) -> detail::Slot& {
-    return slots[static_cast<std::size_t>(i)];
-  };
+  serve::detail::CoreIo io = detail::slot_io(
+      [&slots](int i) -> detail::Slot& { return slots[static_cast<std::size_t>(i)]; });
   io.poll_input = [&](std::deque<int>& q) {
     std::uint8_t buf[16384];
     for (;;) {
@@ -175,14 +171,9 @@ int shard_worker_main(int argc, char** argv) {
               s.conn = 0;
               s.conn_gen = 1;
               s.req_id = rf.id;
-              s.input_index = rf.input_index;
-              s.latency_class = rf.latency_class;
               s.stream = rf.stream;
-              s.arrival_ns = now_ns() - epoch;
-              s.output.clear();
-              s.tokens = 0;
-              s.cancelled = false;
-              s.admit_ns = s.completion_ns = s.first_token_ns = s.last_token_ns = -1;
+              s.assign(static_cast<int>(si), rf.input_index, rf.latency_class,
+                       now_ns() - epoch);
               q.push_back(static_cast<int>(si));
               break;
             }
@@ -224,7 +215,7 @@ int shard_worker_main(int argc, char** argv) {
   io.input_open = [&] { return !drain && !eof; };
   io.degraded = [&] { return degraded; };
   io.emit_token = [&](int slot_id, std::uint32_t ord) {
-    ++tokens_served;
+    if (!slots[static_cast<std::size_t>(slot_id)].stream) return;
     wire.clear();
     encode_id_pair(wire, FrameType::kWorkerToken,
                    static_cast<std::uint32_t>(slot_id), ord);
@@ -235,7 +226,8 @@ int shard_worker_main(int argc, char** argv) {
     const detail::Slot& s = slots[static_cast<std::size_t>(slot_id)];
     wire.clear();
     encode_done(wire, FrameType::kWorkerDone, static_cast<std::uint32_t>(slot_id),
-                s.tokens, s.cancelled, s.output.data(), s.output.size());
+                static_cast<std::uint32_t>(s.rec.tokens), s.rec.cancelled,
+                s.rec.output.data(), s.rec.output.size());
     if (!write_all(fd, wire)) eof = true;
   };
   io.idle_wait = [&] {
@@ -244,7 +236,7 @@ int shard_worker_main(int argc, char** argv) {
   };
 
   serve::ShardReport report;
-  detail::run_shard_core(cc, io, report);
+  serve::detail::run_shard_core(cc, io, report);
 
   if (!eof) {
     std::vector<std::uint8_t> bye_payload;
