@@ -6,7 +6,11 @@
 // connection; each completion immediately issues the next request, and a
 // 429 retries after a short backoff (the retry count is part of the row).
 // TTFT and inter-token gaps are stamped at frame *receipt* — wire-measured,
-// including the protocol, the event loop, and the socket.
+// including the protocol, the event loop, and the socket. A streamed-vs-burst
+// row then says whether tokens reach the client as the engine makes them or
+// all at once: its stream share is the part of a request's wire time spent
+// between its first and last token (near 0 when a stream arrives in one
+// burst).
 //
 //   net_client [--uds] [--multiproc] [--connect HOST:PORT]
 //
@@ -49,6 +53,7 @@ ActivityStats merged_stats(const std::vector<serve::ShardReport>& shards) {
 
 struct Row {
   double tok_s = 0, rps = 0;
+  double stream_share_p50 = 0;  // p50 of (last − first token) / e2e
   Percentiles ttft_ms, itl_ms, e2e_ms;
   long long retries = 0;
   long long timeouts = 0;
@@ -57,7 +62,7 @@ struct Row {
 
 // Closed-loop driver: K outstanding on one connection, n total completions.
 bool drive(net::NetClient& cli, int n, int k, Row& row) {
-  std::vector<double> ttft, itl, e2e;
+  std::vector<double> ttft, itl, e2e, share;
   std::vector<std::int64_t> sent_ns(static_cast<std::size_t>(n) + 1, 0);
   const std::int64_t t_start = now_ns();
   std::uint32_t next_id = 0;
@@ -92,6 +97,9 @@ bool drive(net::NetClient& cli, int n, int k, Row& row) {
       ttft.push_back(static_cast<double>(r.token_recv_ns.front() - sent_ns[r.req_id]) * 1e-6);
       for (std::size_t i = 1; i < r.token_recv_ns.size(); ++i)
         itl.push_back(static_cast<double>(r.token_recv_ns[i] - r.token_recv_ns[i - 1]) * 1e-6);
+      if (r.token_recv_ns.size() >= 2 && e2e_ms_v > 0)
+        share.push_back(static_cast<double>(r.token_recv_ns.back() - r.token_recv_ns.front()) *
+                        1e-6 / e2e_ms_v);
     }
     row.tokens += r.tokens;
     ++completed;
@@ -104,6 +112,7 @@ bool drive(net::NetClient& cli, int n, int k, Row& row) {
   row.ttft_ms = percentiles(std::move(ttft));
   row.itl_ms = percentiles(std::move(itl));
   row.e2e_ms = percentiles(std::move(e2e));
+  row.stream_share_p50 = percentiles(std::move(share)).p50;
   return true;
 }
 
@@ -131,13 +140,23 @@ void record(CounterJson& json, const std::string& cfg, const net::NetStats& st,
             {"ttft_p99_ms", row.ttft_ms.p99},
             {"itl_p50_ms", row.itl_ms.p50},
             {"itl_p99_ms", row.itl_ms.p99},
-            {"e2e_p99_ms", row.e2e_ms.p99}});
+            {"e2e_p99_ms", row.e2e_ms.p99},
+            {"stream_share_p50", row.stream_share_p50}});
 }
 
 void print_row(const char* mode, int k, const Row& row) {
   std::printf("%-14s K=%-3d | %8.0f %9.0f | %8.3f %8.3f %8.3f %8.3f %8.3f | %6lld\n",
               mode, k, row.rps, row.tok_s, row.ttft_ms.p50, row.ttft_ms.p99,
               row.itl_ms.p50, row.itl_ms.p99, row.e2e_ms.p99, row.retries);
+}
+
+// Streamed vs burst delivery at one request in flight, from the client's
+// clock. A stream share under 0.25 means the tokens arrived as one burst.
+void print_delivery(const Row& k1) {
+  std::printf("streamed vs burst (K=1): ttft p50 %.3f ms, itl p50 %.3f ms, "
+              "stream share p50 %.2f -> %s\n",
+              k1.ttft_ms.p50, k1.itl_ms.p50, k1.stream_share_p50,
+              k1.stream_share_p50 >= 0.25 ? "streamed" : "burst");
 }
 
 // In-proc fallback when the sandbox has no sockets: the same closed-loop
@@ -205,6 +224,7 @@ int main(int argc, char** argv) {
     }
     const std::string host = connect.substr(0, colon);
     const int port = std::atoi(connect.c_str() + colon + 1);
+    Row k1;
     for (const int k : {1, 4, 16}) {
       net::NetClient cli;
       if (!cli.connect_tcp(host, port)) {
@@ -217,7 +237,9 @@ int main(int argc, char** argv) {
         return 1;
       }
       print_row("external", k, row);
+      if (k == 1) k1 = row;
     }
+    print_delivery(k1);
     return 0;
   }
 
@@ -276,6 +298,7 @@ int main(int argc, char** argv) {
     print_row(mode, k, row);
     rows.emplace_back(k, row);
   }
+  print_delivery(rows.front().second);
   srv.shutdown();
   const net::NetStats& st = srv.stats();
   for (const auto& [k, row] : rows) {

@@ -1,12 +1,12 @@
 // acrobat/net: the socket ingress (DESIGN.md §10).
 //
 // NetServer is the front door that turns the in-process serving stack into a
-// real server: a poll()-based event loop accepts TCP (loopback) and/or UDS
-// connections, parses length-prefixed request frames, stamps arrivals, and
-// feeds them through a *bounded* admission queue to a dispatcher thread that
-// routes onto shard inboxes — the same SPSC + admission-hook machinery the
-// in-proc `serve()` path uses. Completions (including per-token decode
-// frames) stream back on the originating connection.
+// real server: one poll()-based event loop accepts TCP (loopback) and/or UDS
+// connections, parses length-prefixed request frames, stamps arrivals, holds
+// them in a *bounded* admission queue until a slot is free, and routes each
+// onto the least-loaded shard's SPSC inbox. Completions (including per-token
+// decode frames) stream back on the originating connection; shards wake the
+// loop through an eventfd doorbell, never a polling tick.
 //
 // Three invariants the design enforces:
 //   * Overload sheds, never grows: the admission queue has fixed capacity
@@ -50,10 +50,10 @@ struct NetOptions {
   bool recycle = true;
   bool sched_memo = true;
 
-  // Bounded-ingress knobs. admission_capacity bounds the acceptor →
-  // dispatcher queue (full → 429); max_sessions bounds the slot table, i.e.
-  // requests admitted but not yet completed server-wide (exhausted → the
-  // dispatcher stops popping admission, which backs up into 429s).
+  // Bounded-ingress knobs. admission_capacity bounds the queue of requests
+  // waiting for a slot (full → 429); max_sessions bounds the slot table,
+  // i.e. requests routed to a shard but not yet completed server-wide
+  // (exhausted → requests wait in admission, which backs up into 429s).
   std::size_t admission_capacity = 64;
   std::size_t max_sessions = 128;
   std::size_t write_buffer_limit = 1 << 20;  // bytes buffered per conn before drop
@@ -137,7 +137,7 @@ struct NetStats {
   std::uint64_t slow_reader_drops = 0;  // subset: write buffer bound exceeded
   std::uint64_t tokens_streamed = 0;    // kToken frames written
   std::uint64_t worker_deaths = 0;
-  // Fault tolerance (ISSUE 10).
+  // Fault tolerance (DESIGN.md §11).
   std::uint64_t worker_respawns = 0;     // supervisor re-forks that succeeded
   std::uint64_t respawns_exhausted = 0;  // shards left dead: budget burned
   std::uint64_t fairness_rejects = 0;    // kRetry: per-conn in-flight cap hit

@@ -914,18 +914,18 @@ void Engine::trigger_execution() {
   }
   if (pending_.empty()) return;
   in_trigger_ = true;
-  std::int64_t trace_t0 = 0;
+  [[maybe_unused]] std::int64_t trace_t0 = 0;
   ACROBAT_TRACE(tracer_, trace_t0 = tracer_->now());
   // Double-buffer the pending list: the swapped-out buffer is reused next
   // trigger, so the swap itself never allocates in steady state.
   trigger_scratch_.clear();
   trigger_scratch_.swap(pending_);
-  const auto trace_ops = static_cast<std::int32_t>(trigger_scratch_.size());
+  [[maybe_unused]] const auto trace_ops = static_cast<std::int32_t>(trigger_scratch_.size());
   const bool memo = cfg_.sched_memo && cfg_.lazy;
   try {
     // Memoized path first: a hit replays the cached plan and skips the
     // scheduler entirely; a miss arms plan recording and falls through.
-    std::int64_t sched_t0 = 0;
+    [[maybe_unused]] std::int64_t sched_t0 = 0;
     ACROBAT_TRACE(tracer_, sched_t0 = tracer_->now());
     bool replayed = false;
     if (memo) replayed = memo_try_replay(trigger_scratch_);
@@ -1152,7 +1152,7 @@ void Engine::execute_batch(int kernel_id, const std::vector<std::uint32_t>& ids,
   // dispatched (grouping, order, merged-launch flags); memo_install caches
   // it once the whole trigger has succeeded.
   if (memo_recording_) memo_note_batch(kernel_id, ids, merge_launch);
-  std::int64_t trace_t0 = 0;
+  [[maybe_unused]] std::int64_t trace_t0 = 0;
   ACROBAT_TRACE(tracer_, trace_t0 = tracer_->now());
   const Kernel& k = registry_.kernel(kernel_id);
   const std::size_t n = ids.size();

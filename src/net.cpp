@@ -6,6 +6,7 @@
 #include <netinet/tcp.h>
 #include <poll.h>
 #include <signal.h>
+#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <sys/wait.h>
@@ -13,11 +14,13 @@
 
 #include <algorithm>
 #include <cassert>
-#include <climits>
 #include <cstdio>
 #include <cstring>
+#include <deque>
+#include <initializer_list>
 #include <set>
 #include <thread>
+#include <utility>
 
 #include "fault/fault.h"
 #include "net/frame.h"
@@ -34,7 +37,7 @@ using serve::SpscQueue;
 using serve::detail::config_die;
 using serve::detail::relax;
 
-// Acceptor → dispatcher. Everything the dispatcher needs to fill a slot.
+// A request read off a connection, waiting in the event loop for a slot.
 struct AdmissionMsg {
   int conn = -1;
   std::uint64_t conn_gen = 0;
@@ -45,7 +48,7 @@ struct AdmissionMsg {
   std::int64_t arrival_ns = 0;
 };
 
-// Shard/proxy/dispatcher → event loop.
+// Shard/proxy → event loop (and the event loop's own "no live shard").
 struct CompMsg {
   enum Kind : std::uint8_t { kToken, kDone, kError };
   Kind kind = kDone;
@@ -56,6 +59,44 @@ struct CompMsg {
 bool set_nonblocking(int fd) {
   const int fl = ::fcntl(fd, F_GETFL, 0);
   return fl >= 0 && ::fcntl(fd, F_SETFL, fl | O_NONBLOCK) == 0;
+}
+
+// The one wakeup of the router's sleeping threads (the event loop and each
+// worker proxy): an eventfd the sleeper polls next to its sockets. Producers
+// ring after every push to the queue the sleeper consumes, and the sleeper
+// clears the bell before it looks at that queue, so no ring is lost between
+// its last look and its poll. If eventfd fails (fd -1), poll skips the entry
+// and the sleeper falls back to the kPollCapMs tick: slower, never stuck.
+class Doorbell {
+ public:
+  Doorbell() : fd_(::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC)) {}
+  ~Doorbell() {
+    if (fd_ >= 0) ::close(fd_);
+  }
+  Doorbell(const Doorbell&) = delete;
+  Doorbell& operator=(const Doorbell&) = delete;
+
+  int fd() const { return fd_; }
+  void ring() const { ::eventfd_write(fd_, 1); }
+  void clear() const {
+    eventfd_t v;
+    ::eventfd_read(fd_, &v);
+  }
+
+ private:
+  int fd_;
+};
+
+// A sleeper's poll timeout: milliseconds until the earliest of its own
+// timers in `deadlines_ns` (ping, liveness, respawn backoff, drain flush;
+// negative = unset), capped so a missed ring costs one tick, never a hang.
+constexpr std::int64_t kPollCapMs = 100;
+int poll_ms(std::initializer_list<std::int64_t> deadlines_ns) {
+  std::int64_t ms = kPollCapMs;
+  const std::int64_t now = now_ns();
+  for (const std::int64_t d : deadlines_ns)
+    if (d >= 0) ms = std::min(ms, std::max<std::int64_t>(0, (d - now + 999'999) / 1'000'000));
+  return static_cast<int>(ms);
 }
 
 }  // namespace
@@ -78,7 +119,7 @@ struct NetServer::Impl {
   std::unique_ptr<detail::Slot[]> slots;
   std::size_t n_slots = 0;
 
-  // Per-shard channel: the dispatcher feeds the inbox (slot ids); the shard
+  // Per-shard channel: the event loop feeds the inbox (slot ids); the shard
   // thread (or the worker's proxy thread) feeds `out` back to the event
   // loop. The out ring is sized so that even a full slot table streaming
   // tokens rarely fills it; shard-side pushes spin briefly if it does —
@@ -90,7 +131,7 @@ struct NetServer::Impl {
     int index;
     SpscQueue<int> inbox;
     SpscQueue<CompMsg> out;
-    std::atomic<int> outstanding{0};
+    Doorbell bell;  // multiproc: wakes the proxy (inbox push/close, cancel, mode)
     std::atomic<bool> alive{true};
     serve::ShardReport report;
     std::unique_ptr<trace::Tracer> tracer;
@@ -100,21 +141,15 @@ struct NetServer::Impl {
     int fd = -1;  // multiproc: router end of the socketpair
   };
   std::vector<std::unique_ptr<ShardCh>> shards;
-  std::unique_ptr<SpscQueue<AdmissionMsg>> admission;
-  std::unique_ptr<SpscQueue<int>> free_ring;
-  std::unique_ptr<SpscQueue<CompMsg>> disp_out;
+  Doorbell ev_bell;  // wakes the event loop: every `out` push, shutdown()
 
   std::atomic<bool> draining{false};
-  std::atomic<bool> admission_closed{false};
-  std::atomic<bool> dispatcher_done{false};
-  std::atomic<int> shards_done{0};
   std::atomic<std::uint64_t> worker_deaths{0};
-  std::atomic<std::size_t> slots_peak{0};
 
-  // Fault tolerance (ISSUE 10). `degraded` is written by the event loop and
-  // read by in-proc shard cores (CoreIo::degraded) and the worker proxies
-  // (which forward it as kWorkerMode frames). The respawn counters are
-  // written by proxy threads, aggregated into stats at shutdown.
+  // Fault tolerance (DESIGN.md §11). `degraded` is written by the event loop
+  // and read by in-proc shard cores (CoreIo::degraded) and the worker
+  // proxies (which forward it as kWorkerMode frames). The respawn counters
+  // are written by proxy threads, aggregated into stats at shutdown.
   std::atomic<bool> degraded{false};
   std::atomic<std::uint64_t> respawns{0};
   std::atomic<std::uint64_t> respawns_exhausted{0};
@@ -122,7 +157,7 @@ struct NetServer::Impl {
   fault::Injector inject;
   std::string fault_spec;  // resolved spec, forwarded to workers via argv
 
-  std::thread ev_thread, disp_thread;
+  std::thread ev_thread;
   std::vector<std::thread> shard_threads;
 
   std::unique_ptr<trace::Tracer> net_tracer;
@@ -139,7 +174,6 @@ struct NetServer::Impl {
   bool spawn_worker(ShardCh& ch);
   void shard_main_inproc(ShardCh& ch);
   void proxy_main(ShardCh& ch);
-  void dispatcher_loop();
   void event_loop();
 };
 
@@ -254,21 +288,19 @@ void NetServer::Impl::shard_main_inproc(ShardCh& ch) {
     while (ch.inbox.pop(id)) q.push_back(id);
   };
   io.input_open = [&ch] { return !(ch.inbox.closed() && ch.inbox.empty_hint()); };
-  io.emit_token = [this, &ch](int slot_id, std::uint32_t ord) {
-    if (!slots[static_cast<std::size_t>(slot_id)].stream) return;
-    const CompMsg m{CompMsg::kToken, slot_id, ord};
+  const auto push_out = [this, &ch](const CompMsg& m) {
     while (!ch.out.push(m)) relax();
+    ev_bell.ring();
   };
-  io.emit_done = [&ch](int slot_id) {
-    ch.outstanding.fetch_sub(1, std::memory_order_relaxed);
-    const CompMsg m{CompMsg::kDone, slot_id, 0};
-    while (!ch.out.push(m)) relax();
+  io.emit_token = [this, push_out](int slot_id, std::uint32_t ord) {
+    if (slots[static_cast<std::size_t>(slot_id)].stream)
+      push_out(CompMsg{CompMsg::kToken, slot_id, ord});
   };
+  io.emit_done = [push_out](int slot_id) { push_out(CompMsg{CompMsg::kDone, slot_id, 0}); };
   io.idle_wait = relax;
   io.degraded = [this] { return degraded.load(std::memory_order_relaxed); };
 
   serve::detail::run_shard_core(cc, io, ch.report);
-  shards_done.fetch_add(1, std::memory_order_release);
 }
 
 // Router-side thread for one worker process: forwards requests and cancels
@@ -277,7 +309,7 @@ void NetServer::Impl::shard_main_inproc(ShardCh& ch) {
 // turns every in-flight and still-arriving slot into a kError completion —
 // clients always get a terminal frame.
 //
-// Supervision (ISSUE 10): with opts.supervise, a dead worker is re-forked
+// Supervision (DESIGN.md §11): with opts.supervise, a dead worker is re-forked
 // under the same recipe after a capped-exponential backoff, within a
 // bounded per-shard respawn budget. The shard stays routed-around
 // (alive = false) while the respawn is pending, so nothing here changes the
@@ -299,6 +331,7 @@ void NetServer::Impl::proxy_main(ShardCh& ch) {
 
   const auto push_out = [&](const CompMsg& m) {
     while (!ch.out.push(m)) relax();
+    ev_bell.ring();
   };
   const auto schedule_respawn = [&] {
     if (!opts.supervise) return;
@@ -316,11 +349,9 @@ void NetServer::Impl::proxy_main(ShardCh& ch) {
     if (!ch.alive.load(std::memory_order_relaxed)) return;
     ch.alive.store(false, std::memory_order_release);
     if (unexpected) worker_deaths.fetch_add(1, std::memory_order_relaxed);
-    for (const int si : inflight) {
-      ch.outstanding.fetch_sub(1, std::memory_order_relaxed);
+    for (const int si : inflight)
       push_out(CompMsg{CompMsg::kError, si,
                        static_cast<std::uint32_t>(ErrorCode::kWorkerDied)});
-    }
     inflight.clear();
     cancel_sent.clear();
     if (ch.fd >= 0) {
@@ -371,7 +402,6 @@ void NetServer::Impl::proxy_main(ShardCh& ch) {
         s.rec.cancelled = df.cancelled;
         inflight.erase(si);
         cancel_sent.erase(si);
-        ch.outstanding.fetch_sub(1, std::memory_order_relaxed);
         consecutive_failures = 0;  // served work: not a crash loop
         push_out(CompMsg{CompMsg::kDone, si, 0});
         break;
@@ -391,7 +421,6 @@ void NetServer::Impl::proxy_main(ShardCh& ch) {
   };
 
   for (;;) {
-    bool progressed = false;
     // A pending respawn fires once its backoff elapses — unless the server
     // is already draining this shard (inbox closed and empty), in which
     // case restoring capacity is pointless and the drain wins.
@@ -409,7 +438,6 @@ void NetServer::Impl::proxy_main(ShardCh& ch) {
           last_ping = last_heard = now_ns();
           respawns.fetch_add(1, std::memory_order_relaxed);
           ch.alive.store(true, std::memory_order_release);
-          progressed = true;
         } else {
           schedule_respawn();  // fork/socketpair failed: counts as a failure
         }
@@ -417,9 +445,7 @@ void NetServer::Impl::proxy_main(ShardCh& ch) {
     }
     int si;
     while (ch.inbox.pop(si)) {
-      progressed = true;
       if (!ch.alive.load(std::memory_order_relaxed)) {
-        ch.outstanding.fetch_sub(1, std::memory_order_relaxed);
         push_out(CompMsg{CompMsg::kError, si,
                          static_cast<std::uint32_t>(ErrorCode::kWorkerDied)});
         continue;
@@ -442,7 +468,6 @@ void NetServer::Impl::proxy_main(ShardCh& ch) {
         ACROBAT_FAULT(if (inject.fire_kill(ch.index) && ch.pid.load() > 0)
                           ::kill(ch.pid.load(), SIGKILL));
       } else {
-        ch.outstanding.fetch_sub(1, std::memory_order_relaxed);
         push_out(CompMsg{CompMsg::kError, si,
                          static_cast<std::uint32_t>(ErrorCode::kWorkerDied)});
       }
@@ -495,41 +520,9 @@ void NetServer::Impl::proxy_main(ShardCh& ch) {
       mark_dead(true);
     }
 
-    if (ch.alive.load(std::memory_order_relaxed)) {
-      pollfd pfd{ch.fd, POLLIN, 0};
-      ::poll(&pfd, 1, 1);
-      std::uint8_t buf[16384];
-      for (;;) {
-        const ssize_t n = ::recv(ch.fd, buf, sizeof buf, MSG_DONTWAIT);
-        if (n > 0) {
-          last_heard = now_ns();
-          rd.feed(buf, static_cast<std::size_t>(n));
-          Frame f;
-          while (rd.next(f) == FrameReader::Status::kFrame) handle_frame(f);
-          continue;
-        }
-        if (n == 0) {
-          if (drain_sent && bye) {  // clean exit after drain handshake
-            ::close(ch.fd);
-            ch.fd = -1;
-          } else {
-            mark_dead(true);
-          }
-          break;
-        }
-        if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-        if (errno == EINTR) continue;
-        mark_dead(true);
-        break;
-      }
-    } else if (!progressed) {
-      relax();
-    }
-
-    const bool worker_finished =
-        (drain_sent && (bye || !ch.alive.load(std::memory_order_relaxed))) ||
-        (!ch.alive.load(std::memory_order_relaxed) && ch.inbox.closed() &&
-         ch.inbox.empty_hint());
+    const bool alive = ch.alive.load(std::memory_order_relaxed);
+    const bool worker_finished = (drain_sent && (bye || !alive)) ||
+                                 (!alive && ch.inbox.closed() && ch.inbox.empty_hint());
     if (worker_finished) {
       if (ch.fd >= 0) {
         ::close(ch.fd);
@@ -551,72 +544,41 @@ void NetServer::Impl::proxy_main(ShardCh& ch) {
         }
         ch.pid.store(-1);
       }
-      break;
-    }
-  }
-  shards_done.fetch_add(1, std::memory_order_release);
-}
-
-void NetServer::Impl::dispatcher_loop() {
-  std::vector<int> free_list;
-  free_list.reserve(n_slots);
-  for (std::size_t i = n_slots; i > 0; --i) free_list.push_back(static_cast<int>(i - 1));
-
-  for (;;) {
-    bool progressed = false;
-    int sid;
-    while (free_ring->pop(sid)) {
-      progressed = true;
-      slots[static_cast<std::size_t>(sid)].owner.store(0, std::memory_order_relaxed);
-      free_list.push_back(sid);
-    }
-    // Backpressure cascade: no free slot → don't pop admission → the
-    // admission queue fills → the event loop 429s. Nothing ever grows.
-    while (!free_list.empty()) {
-      AdmissionMsg m;
-      if (!admission->pop(m)) break;
-      progressed = true;
-      const int si = free_list.back();
-      free_list.pop_back();
-      detail::Slot& s = slots[static_cast<std::size_t>(si)];
-      s.conn = m.conn;
-      s.conn_gen = m.conn_gen;
-      s.req_id = m.req_id;
-      s.stream = m.stream;
-      s.assign(si, m.input_index, m.latency_class, m.arrival_ns);
-      s.owner.store(detail::pack_owner(m.conn, m.conn_gen), std::memory_order_release);
-      const std::size_t used = n_slots - free_list.size();
-      if (used > slots_peak.load(std::memory_order_relaxed))
-        slots_peak.store(used, std::memory_order_relaxed);
-
-      int target = -1, best = INT_MAX;
-      for (const auto& ch : shards) {
-        if (!ch->alive.load(std::memory_order_acquire)) continue;
-        const int load = ch->outstanding.load(std::memory_order_relaxed);
-        if (load < best) {
-          best = load;
-          target = ch->index;
-        }
-      }
-      if (target < 0) {
-        const CompMsg em{CompMsg::kError, si,
-                         static_cast<std::uint32_t>(ErrorCode::kUnavailable)};
-        while (!disp_out->push(em)) relax();
-        continue;
-      }
-      ShardCh& ch = *shards[static_cast<std::size_t>(target)];
-      ch.outstanding.fetch_add(1, std::memory_order_relaxed);
-      const bool pushed = ch.inbox.push(si);
-      assert(pushed && "inbox sized for the whole slot table");
-      (void)pushed;
-    }
-    if (admission_closed.load(std::memory_order_acquire) && admission->empty_hint() &&
-        free_list.size() == n_slots && free_ring->empty_hint()) {
-      for (const auto& ch : shards) ch->inbox.close();
-      dispatcher_done.store(true, std::memory_order_release);
       return;
     }
-    if (!progressed) relax();
+
+    // Sleep until the worker writes, the bell rings (inbox push or close,
+    // cancel, mode change) or this proxy's next timer is due.
+    pollfd pfd[2] = {{ch.bell.fd(), POLLIN, 0}, {alive ? ch.fd : -1, POLLIN, 0}};
+    ::poll(pfd, 2,
+           poll_ms({respawn_at, alive && !drain_sent ? last_ping + opts.ping_interval_ns : -1,
+                    alive && !inflight.empty() ? last_heard + opts.liveness_timeout_ns : -1}));
+    if (pfd[0].revents != 0) ch.bell.clear();
+    if (pfd[1].revents == 0) continue;
+    std::uint8_t buf[16384];
+    for (;;) {
+      const ssize_t n = ::recv(ch.fd, buf, sizeof buf, MSG_DONTWAIT);
+      if (n > 0) {
+        last_heard = now_ns();
+        rd.feed(buf, static_cast<std::size_t>(n));
+        Frame f;
+        while (rd.next(f) == FrameReader::Status::kFrame) handle_frame(f);
+        continue;
+      }
+      if (n == 0) {
+        if (drain_sent && bye) {  // clean exit after drain handshake
+          ::close(ch.fd);
+          ch.fd = -1;
+        } else {
+          mark_dead(true);
+        }
+        break;
+      }
+      if (errno == EAGAIN || errno == EWOULDBLOCK) break;
+      if (errno == EINTR) continue;
+      mark_dead(true);
+      break;
+    }
   }
 }
 
@@ -632,25 +594,38 @@ void NetServer::Impl::event_loop() {
   };
   std::vector<Conn> conns(static_cast<std::size_t>(opts.max_connections));
   int open_count = 0;
-  trace::Tracer* const tr = net_tracer.get();
+  [[maybe_unused]] trace::Tracer* const tr = net_tracer.get();
   bool listeners_open = true;
+  bool inboxes_closed = false;
   std::int64_t flush_deadline = -1;
   std::vector<std::uint8_t> scratch;
-  const int nshards = static_cast<int>(shards.size());
+
+  // Admission. A request waits in `pending` (at most admission_capacity)
+  // until a slot is free, then goes to the least-loaded live shard.
+  // load[s] counts the slots routed to shard s and not yet completed;
+  // slot_shard[i] is where slot i went (-1: nowhere).
+  std::deque<AdmissionMsg> pending;
+  std::vector<int> free_list, load(shards.size(), 0), slot_shard(n_slots, -1);
+  for (std::size_t i = n_slots; i > 0; --i) free_list.push_back(static_cast<int>(i - 1));
 
   const auto now_rel = [&] { return now_ns() - epoch; };
+  // Proxies see cancels and mode changes only when woken.
+  const auto ring_proxies = [&] {
+    if (opts.multiprocess)
+      for (const auto& ch : shards) ch->bell.ring();
+  };
 
   const auto drop_conn = [&](int ci, bool slow) {
     Conn& c = conns[static_cast<std::size_t>(ci)];
     if (!c.open) return;
-    const bool pending = c.live > 0 || c.woff < c.wbuf.size();
+    const bool owed = c.live > 0 || c.woff < c.wbuf.size();
     ::close(c.fd);
     c.fd = -1;
     c.open = false;
     c.wbuf.clear();
     c.woff = 0;
     c.rd = FrameReader();
-    if (pending) {
+    if (owed) {
       ++stats.conn_drops;
       if (slow) ++stats.slow_reader_drops;
       ACROBAT_TRACE(tr, tr->instant(trace::EventKind::kNetConnDrop, ci, slow ? 1 : 0));
@@ -658,8 +633,9 @@ void NetServer::Impl::event_loop() {
       // a slot recycled to a newer generation can never match.
       const std::uint64_t target = detail::pack_owner(ci, c.gen);
       for (std::size_t i = 0; i < n_slots; ++i)
-        if (slots[i].owner.load(std::memory_order_acquire) == target)
+        if (slots[i].owner == target)
           slots[i].cancel_owner.store(target, std::memory_order_release);
+      ring_proxies();
     }
     ++c.gen;
     c.live = 0;
@@ -738,35 +714,75 @@ void NetServer::Impl::event_loop() {
     }
     if (ok && conns[static_cast<std::size_t>(ci)].open)
       --conns[static_cast<std::size_t>(ci)].live;  // send_to may have dropped it
-    const bool pushed = free_ring->push(m.slot);
-    assert(pushed && "free ring sized for the whole slot table");
-    (void)pushed;
+    if (const int sh = std::exchange(slot_shard[static_cast<std::size_t>(m.slot)], -1); sh >= 0)
+      --load[static_cast<std::size_t>(sh)];
+    s.owner = 0;
+    free_list.push_back(m.slot);
+  };
+
+  // Backpressure cascade: no free slot → requests wait in `pending` → a
+  // full `pending` answers 429. Nothing ever grows.
+  const auto dispatch = [&] {
+    while (!free_list.empty() && !pending.empty()) {
+      const AdmissionMsg m = pending.front();
+      pending.pop_front();
+      const int si = free_list.back();
+      free_list.pop_back();
+      detail::Slot& s = slots[static_cast<std::size_t>(si)];
+      s.conn = m.conn;
+      s.conn_gen = m.conn_gen;
+      s.req_id = m.req_id;
+      s.stream = m.stream;
+      s.assign(si, m.input_index, m.latency_class, m.arrival_ns);
+      s.owner = detail::pack_owner(m.conn, m.conn_gen);
+      stats.slots_peak = std::max(stats.slots_peak, n_slots - free_list.size());
+
+      std::size_t target = shards.size();
+      for (std::size_t k = 0; k < shards.size(); ++k)
+        if (shards[k]->alive.load(std::memory_order_acquire) &&
+            (target == shards.size() || load[k] < load[target]))
+          target = k;
+      if (target == shards.size()) {
+        handle_comp(CompMsg{CompMsg::kError, si,
+                            static_cast<std::uint32_t>(ErrorCode::kUnavailable)});
+        continue;
+      }
+      ++load[target];
+      slot_shard[static_cast<std::size_t>(si)] = static_cast<int>(target);
+      ShardCh& ch = *shards[target];
+      const bool pushed = ch.inbox.push(si);
+      assert(pushed && "inbox sized for the whole slot table");
+      (void)pushed;
+      if (opts.multiprocess) ch.bell.ring();
+    }
   };
 
   const auto pump = [&] {
     CompMsg m;
     for (const auto& ch : shards)
       while (ch->out.pop(m)) handle_comp(m);
-    while (disp_out->pop(m)) handle_comp(m);
+    dispatch();
   };
 
-  // Degraded-mode hysteresis (ISSUE 10): enter at the high watermark, exit
-  // at the low one. Evaluated by the event loop only — single writer to the
+  // Degraded-mode hysteresis: enter at the high watermark, exit at the low
+  // one. Evaluated by the event loop only — single writer to the
   // Impl::degraded atomic that shards and worker proxies read.
   bool degraded_mode = false;
   const std::uint16_t want_auth =
       opts.auth_token.empty() ? 0 : auth_token16(opts.auth_token);
   const auto update_degraded = [&] {
-    const std::size_t occ = admission->size_hint();
+    const std::size_t occ = pending.size();
     if (!degraded_mode && occ >= degrade_high) {
       degraded_mode = true;
       degraded.store(true, std::memory_order_relaxed);
+      ring_proxies();
       ++stats.degraded_entries;
       ACROBAT_TRACE(tr, tr->instant(trace::EventKind::kNetDegrade, 1,
                                     static_cast<int>(occ)));
     } else if (degraded_mode && occ <= degrade_low) {
       degraded_mode = false;
       degraded.store(false, std::memory_order_relaxed);
+      ring_proxies();
       ++stats.degraded_exits;
       ACROBAT_TRACE(tr, tr->instant(trace::EventKind::kNetDegrade, 0,
                                     static_cast<int>(occ)));
@@ -819,10 +835,9 @@ void NetServer::Impl::event_loop() {
       return;
     }
     // The backpressure contract: a full admission queue (or a draining
-    // server) answers 429 immediately. size_hint from the producer side is
-    // exact-or-overestimate, so the configured capacity is a hard bound.
+    // server) answers 429 immediately.
     if (draining.load(std::memory_order_relaxed) ||
-        admission->size_hint() >= opts.admission_capacity) {
+        pending.size() >= opts.admission_capacity) {
       ++stats.rejected_429;
       ACROBAT_TRACE(tr, tr->instant(trace::EventKind::kNetReject, ci,
                                     static_cast<int>(rf.id)));
@@ -831,20 +846,12 @@ void NetServer::Impl::event_loop() {
       return;
     }
     Conn& c = conns[static_cast<std::size_t>(ci)];
-    AdmissionMsg m;
-    m.conn = ci;
-    m.conn_gen = c.gen;
-    m.req_id = rf.id;
-    m.input_index = rf.input_index;
-    m.latency_class = rf.latency_class;
-    m.stream = rf.stream;
-    m.arrival_ns = now_rel();
-    const bool pushed = admission->push(m);
-    assert(pushed && "size_hint bound guarantees ring space");
-    (void)pushed;
-    stats.admission_peak = std::max(stats.admission_peak, admission->size_hint());
+    pending.push_back(AdmissionMsg{ci, c.gen, rf.id, rf.input_index, rf.latency_class,
+                                   rf.stream, now_rel()});
+    stats.admission_peak = std::max(stats.admission_peak, pending.size());
     ++c.live;
     update_degraded();  // entering on the admit edge catches the high watermark
+    dispatch();
   };
 
   const auto read_conn = [&](int ci) {
@@ -921,36 +928,34 @@ void NetServer::Impl::event_loop() {
   std::vector<pollfd> pfds;
   std::vector<int> pidx;
   for (;;) {
-    if (draining.load(std::memory_order_relaxed)) {
-      if (listeners_open) {
-        if (tcp_listen >= 0) ::close(tcp_listen);
-        if (uds_listen >= 0) ::close(uds_listen);
-        tcp_listen = uds_listen = -1;
-        listeners_open = false;
-      }
-      admission_closed.store(true, std::memory_order_release);
+    const bool drain = draining.load(std::memory_order_acquire);
+    if (drain && listeners_open) {
+      if (tcp_listen >= 0) ::close(tcp_listen);
+      if (uds_listen >= 0) ::close(uds_listen);
+      tcp_listen = uds_listen = -1;
+      listeners_open = false;
     }
     pump();
-    update_degraded();  // exit path: occupancy falls as the dispatcher drains
+    update_degraded();  // exit path: occupancy falls as slots free up
 
-    if (draining.load(std::memory_order_relaxed) &&
-        dispatcher_done.load(std::memory_order_acquire) &&
-        shards_done.load(std::memory_order_acquire) == nshards) {
-      pump();  // shards are gone: whatever is queued now is the last of it
-      bool outs_empty = disp_out->empty_hint();
-      for (const auto& ch : shards) outs_empty = outs_empty && ch->out.empty_hint();
-      if (outs_empty) {
-        bool wpending = false;
-        for (const Conn& c : conns)
-          if (c.open && c.woff < c.wbuf.size()) wpending = true;
-        if (!wpending) break;
-        if (flush_deadline < 0) flush_deadline = now_ns() + 2'000'000'000;
-        if (now_ns() > flush_deadline) break;
-      }
+    // Drain: once nothing is pending and every slot is free, no completion
+    // is owed, so the shards may finish; what is left is flushing writes.
+    if (drain && !inboxes_closed && pending.empty() && free_list.size() == n_slots) {
+      for (const auto& ch : shards) ch->inbox.close();
+      ring_proxies();
+      inboxes_closed = true;
+    }
+    if (inboxes_closed) {
+      bool wpending = false;
+      for (const Conn& c : conns)
+        if (c.open && c.woff < c.wbuf.size()) wpending = true;
+      if (!wpending) break;
+      if (flush_deadline < 0) flush_deadline = now_ns() + 2'000'000'000;
+      if (now_ns() > flush_deadline) break;
     }
 
-    pfds.clear();
-    pidx.clear();
+    pfds.assign(1, pollfd{ev_bell.fd(), POLLIN, 0});
+    pidx.assign(1, -3);
     if (listeners_open) {
       if (tcp_listen >= 0) {
         pfds.push_back(pollfd{tcp_listen, POLLIN, 0});
@@ -968,11 +973,13 @@ void NetServer::Impl::event_loop() {
       pfds.push_back(pollfd{conns[i].fd, ev, 0});
       pidx.push_back(static_cast<int>(i));
     }
-    ::poll(pfds.data(), static_cast<nfds_t>(pfds.size()), 1);
+    ::poll(pfds.data(), static_cast<nfds_t>(pfds.size()), poll_ms({flush_deadline}));
     for (std::size_t k = 0; k < pfds.size(); ++k) {
       if (pfds[k].revents == 0) continue;
       const int ix = pidx[k];
-      if (ix == -1) {
+      if (ix == -3) {
+        ev_bell.clear();  // before the next pump looks at the out rings
+      } else if (ix == -1) {
         do_accept(tcp_listen, true);
       } else if (ix == -2) {
         do_accept(uds_listen, false);
@@ -1074,9 +1081,6 @@ bool NetServer::start() {
                                  : static_cast<std::size_t>(o.ds_batch);
   im.n_slots = o.max_sessions;
   im.slots = std::make_unique<detail::Slot[]>(im.n_slots);
-  im.admission = std::make_unique<SpscQueue<AdmissionMsg>>(o.admission_capacity);
-  im.free_ring = std::make_unique<SpscQueue<int>>(im.n_slots);
-  im.disp_out = std::make_unique<SpscQueue<CompMsg>>(im.n_slots);
   if (o.trace.enabled) {
     im.net_tracer = std::make_unique<trace::Tracer>(0, o.trace.config);
     im.net_tracer->set_epoch(im.epoch);
@@ -1092,7 +1096,7 @@ bool NetServer::start() {
 
   // Workers fork before any thread exists (fork+exec from a single-threaded
   // process; nothing to corrupt). A failed spawn marks its shard dead — the
-  // dispatcher routes around it, or errors if none survived.
+  // event loop routes around it, or errors if none survived.
   if (o.multiprocess) {
     for (const auto& ch : im.shards)
       if (!im.spawn_worker(*ch)) ch->alive.store(false, std::memory_order_release);
@@ -1100,7 +1104,6 @@ bool NetServer::start() {
 
   im.started = true;
   im.ev_thread = std::thread([&im] { im.event_loop(); });
-  im.disp_thread = std::thread([&im] { im.dispatcher_loop(); });
   for (const auto& ch : im.shards) {
     Impl::ShardCh& c = *ch;
     if (o.multiprocess)
@@ -1115,9 +1118,9 @@ void NetServer::shutdown() {
   Impl& im = *impl_;
   if (!im.started || im.finished) return;
   im.draining.store(true, std::memory_order_release);
+  im.ev_bell.ring();
   for (std::thread& t : im.shard_threads)
     if (t.joinable()) t.join();
-  if (im.disp_thread.joinable()) im.disp_thread.join();
   if (im.ev_thread.joinable()) im.ev_thread.join();
   if (!im.uds_path.empty()) ::unlink(im.uds_path.c_str());
 
@@ -1126,7 +1129,6 @@ void NetServer::shutdown() {
   im.stats.respawns_exhausted = im.respawns_exhausted.load(std::memory_order_relaxed);
   im.stats.fault_kills = im.inject.kills();
   im.stats.fault_short_writes = im.inject.short_writes();
-  im.stats.slots_peak = im.slots_peak.load(std::memory_order_relaxed);
   for (const auto& ch : im.shards) im.stats.shards.push_back(std::move(ch->report));
   if (im.opts.trace.enabled && im.net_tracer) {
     im.stats.trace.tracks.push_back(trace::dump_track(*im.net_tracer, 0, "net"));

@@ -24,14 +24,14 @@ inline std::uint64_t pack_owner(int conn, std::uint64_t gen) {
 
 // One admitted-but-not-completed request: the request and its ledger, plus
 // wire identity and owner tags. Exactly one thread owns the non-atomic
-// fields at any time (event loop → dispatcher → shard → event loop), with
-// ownership handed over through SPSC queues; `owner` and `cancel_owner` are
-// the only concurrently-touched members.
+// fields at any time (event loop → shard → event loop), with ownership
+// handed over through SPSC queues; `cancel_owner` is the only
+// concurrently-touched member.
 struct Slot {
-  std::atomic<std::uint64_t> owner{0};
+  std::uint64_t owner = 0;  // event loop only: who the busy slot serves
   std::atomic<std::uint64_t> cancel_owner{0};
 
-  // Wire identity (dispatcher-written; event loop reads at completion).
+  // Wire identity (written by the event loop when it fills the slot).
   int conn = -1;
   std::uint64_t conn_gen = 0;
   std::uint32_t req_id = 0;

@@ -8,14 +8,15 @@
 #include <poll.h>
 #include <signal.h>
 #include <sys/socket.h>
-#include <time.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <deque>
 #include <string>
+#include <thread>
 
 #include "fault/fault.h"
 #include "models/models.h"
@@ -30,13 +31,6 @@ namespace {
 // Worker-side fault injector (DESIGN.md §11): one per process, installed
 // from --fault before the loop starts. Inert (empty plan) by default.
 fault::Injector g_inject;
-
-void stall_ns(std::int64_t ns) {
-  timespec ts{static_cast<time_t>(ns / 1'000'000'000),
-              static_cast<long>(ns % 1'000'000'000)};
-  while (::nanosleep(&ts, &ts) != 0 && errno == EINTR) {
-  }
-}
 
 struct WorkerArgs {
   int fd = -1;
@@ -160,7 +154,7 @@ int shard_worker_main(int argc, char** argv) {
               // unanswered, which is the liveness timeout's failure mode.
               ACROBAT_FAULT({
                 const std::int64_t wns = g_inject.fire_wedge_ns();
-                if (wns > 0) stall_ns(wns);
+                if (wns > 0) std::this_thread::sleep_for(std::chrono::nanoseconds(wns));
               });
               const std::size_t si = rf.id;
               while (slots.size() <= si) slots.emplace_back();

@@ -291,8 +291,11 @@ Shape infer_shape(OpKind kind, std::int64_t attr, const Shape* s, int n_ins) {
   }
 }
 
-void run_op(OpKind kind, int variant, const float* const* ins, const Shape* s, float* out,
-            const Shape& out_shape, std::int64_t attr) {
+// Cache-line aligned so the kernels' inlined inner loops keep one alignment
+// wherever the linker puts this; at 48 mod 64 the dense loop ran 30% slower.
+[[gnu::aligned(64)]] void run_op(OpKind kind, int variant, const float* const* ins,
+                                 const Shape* s, float* out, const Shape& out_shape,
+                                 std::int64_t attr) {
   switch (kind) {
     case OpKind::kDense:
       dense(variant, ins[0], s[0].rows(), s[0].cols(), ins[1], s[1].dim[0], out);

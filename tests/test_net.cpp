@@ -20,7 +20,9 @@
 //
 // Sockets may be unavailable in a sandbox: each wire test SKIPs (loudly)
 // when NetServer::start() cannot bind, leaving the codec test as the floor.
+#include <netinet/in.h>
 #include <signal.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <cstdio>
@@ -31,6 +33,7 @@
 #include "net/client.h"
 #include "net/net.h"
 #include "serve/server.h"
+#include "support/timer.h"
 #include "test_util.h"
 
 using namespace acrobat;
@@ -258,6 +261,31 @@ void test_backpressure_429() {
   CHECK(st.slots_peak <= o.max_sessions);
 }
 
+// A loopback TCP connection whose receive buffer is fixed at `rcvbuf` bytes
+// before connect, so its window never grows: a reader that never reads can
+// hold no more than that. -1 on failure.
+int connect_fixed_rcvbuf(int port, int rcvbuf) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof rcvbuf);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(static_cast<std::uint16_t>(port));
+  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+bool send_request_raw(int fd, std::uint32_t id, std::uint32_t input, bool stream) {
+  std::vector<std::uint8_t> wire;
+  net::encode_request(wire, id, input, 0, 0, stream);
+  return ::send(fd, wire.data(), wire.size(), MSG_NOSIGNAL) ==
+         static_cast<ssize_t>(wire.size());
+}
+
 // (d) Slow reader: a connection that never reads is dropped once its write
 // buffer bound fills; the server still drains every admitted session.
 void test_slow_reader_dropped() {
@@ -273,23 +301,25 @@ void test_slow_reader_dropped() {
   net::NetServer srv(&p, &ds, o);
   if (!start_or_skip(srv, "slow_reader")) return;
 
-  net::NetClient cli;
-  CHECK(cli.connect_tcp("127.0.0.1", srv.port()));
-  // Stream tokens + outputs at a reader that never reads. The kernel's
-  // receive buffer on our side soaks up the first chunk, so keep the server
-  // writing — a flood of small requests each earns a response frame (429s
-  // once admission fills) until the socket path clogs and the server's
-  // bounded write buffer trips. The drop is observable from outside: the
-  // server closes with unread data queued (RST), so our sends start failing.
+  // The trip is built in, not raced for. Every request earns a response
+  // frame (a 429 once admission fills), and the client's receive window is
+  // fixed at 4 KB, so once a few KB of responses are unread the server's
+  // write backlog must pass its bound. The client keeps sending until the
+  // drop shows from outside: the server closes with unread data queued
+  // (RST), and sends start failing. A default socket would not do: the
+  // kernel grows a non-reading client's receive buffer to megabytes.
+  const int fd = connect_fixed_rcvbuf(srv.port(), 4096);
+  CHECK(fd >= 0);
   for (int i = 0; i < 32; ++i)
-    CHECK(cli.send_request(static_cast<std::uint32_t>(i),
-                           static_cast<std::uint32_t>(i) % ds.inputs.size()));
+    CHECK(send_request_raw(fd, static_cast<std::uint32_t>(i),
+                           static_cast<std::uint32_t>(i) % ds.inputs.size(), true));
   bool send_failed = false;
-  for (int i = 0; i < 200'000 && !send_failed; ++i)
-    if (!cli.send_request(static_cast<std::uint32_t>(1000 + i), 0, 0, 0,
-                          /*stream=*/false))
-      send_failed = true;
-  cli.close();
+  const std::int64_t deadline = now_ns() + 60'000'000'000;
+  std::uint32_t flood = 0;
+  for (; !send_failed && now_ns() < deadline; ++flood)
+    send_failed = !send_request_raw(fd, 1000 + flood, 0, /*stream=*/false);
+  ::close(fd);
+  std::printf("  slow reader: dropped after %u flood requests\n", flood);
   srv.shutdown();
   const net::NetStats& st = srv.stats();
   CHECK(send_failed);
@@ -316,7 +346,7 @@ void test_midstream_drop_cancels() {
   for (int i = 0; i < 4; ++i)
     CHECK(cli.send_request(static_cast<std::uint32_t>(i),
                            static_cast<std::uint32_t>(i) % ds.inputs.size()));
-  // Give the dispatcher time to slot the sessions (µs), then vanish
+  // Give the event loop time to slot the sessions (µs), then vanish
   // mid-stream — at 200µs per simulated launch the cohort is still decoding
   // tens of milliseconds after this.
   ::usleep(5000);

@@ -323,8 +323,9 @@ void test_fleet_trace_sheds() {
 
   CHECK(a.trace.empty());
 #ifndef ACROBAT_TRACE_COMPILED_OUT
-  CHECK_EQ(b.trace.count(trace::EventKind::kShed), interactive);
-  CHECK_EQ(b.trace.count(trace::EventKind::kAdmit), n - interactive);
+  CHECK_EQ(b.trace.count(trace::EventKind::kShed), static_cast<std::uint64_t>(interactive));
+  CHECK_EQ(b.trace.count(trace::EventKind::kAdmit),
+           static_cast<std::uint64_t>(n - interactive));
   CHECK_EQ(b.trace.count(trace::EventKind::kDispatch), n);
   CHECK(b.trace.count(trace::EventKind::kTrigger) > 0);
   CHECK(b.trace.count(trace::EventKind::kBatch) > 0);
